@@ -26,11 +26,17 @@ std::string IndexCache::RedisKey(uint64_t quad_code) {
 
 std::shared_ptr<const ElementShapes> IndexCache::GetElement(
     uint64_t quad_code) {
+  static const std::shared_ptr<const ElementShapes> kEmpty =
+      std::make_shared<const ElementShapes>();
+  if (NextOccupied(quad_code) != quad_code) return kEmpty;
   std::shared_ptr<const ElementShapes> cached;
   if (lfu_.Get(quad_code, &cached)) {
     return cached;
   }
-  // Miss: load the element's tuples from Redis.
+  // Miss: load the element's tuples from Redis. The element's writers hold
+  // the same stripe, so the load cannot interleave with a write-through
+  // and cache a mapping that misses a just-registered shape.
+  std::lock_guard<std::mutex> lock(ElementMutex(quad_code));
   redis_loads_.fetch_add(1, std::memory_order_relaxed);
   if (ext_redis_loads_ != nullptr) ext_redis_loads_->Inc();
   auto shapes = std::make_shared<ElementShapes>();
@@ -49,6 +55,7 @@ std::shared_ptr<const ElementShapes> IndexCache::GetElement(
 void IndexCache::PutElement(
     uint64_t quad_code, std::vector<std::pair<uint32_t, uint32_t>> shapes) {
   const std::string key = RedisKey(quad_code);
+  std::lock_guard<std::mutex> lock(ElementMutex(quad_code));
   redis_->Del(key);
   for (const auto& [bits, code] : shapes) {
     std::string field, value;
@@ -56,11 +63,13 @@ void IndexCache::PutElement(
     PutFixed32(&value, code);
     redis_->HSet(key, field, value);
   }
+  const bool occupied = !shapes.empty();
   auto element = std::make_shared<ElementShapes>();
   element->shapes = std::move(shapes);
   std::sort(element->shapes.begin(), element->shapes.end(),
             [](const auto& a, const auto& b) { return a.second < b.second; });
   lfu_.Put(quad_code, std::shared_ptr<const ElementShapes>(std::move(element)));
+  if (occupied) MarkOccupied(quad_code);
 }
 
 void IndexCache::AddShape(uint64_t quad_code, uint32_t bits,
@@ -68,7 +77,9 @@ void IndexCache::AddShape(uint64_t quad_code, uint32_t bits,
   std::string field, value;
   PutFixed32(&field, bits);
   PutFixed32(&value, final_code);
+  std::lock_guard<std::mutex> lock(ElementMutex(quad_code));
   redis_->HSet(RedisKey(quad_code), field, value);
+  MarkOccupied(quad_code);
   // Refresh the LFU copy if resident.
   std::shared_ptr<const ElementShapes> cached;
   if (lfu_.Get(quad_code, &cached)) {
@@ -81,10 +92,32 @@ void IndexCache::AddShape(uint64_t quad_code, uint32_t bits,
   }
 }
 
+void IndexCache::MarkOccupied(uint64_t quad_code) {
+  std::unique_lock<std::shared_mutex> lock(occupied_mu_);
+  occupied_.insert(quad_code);
+}
+
+uint64_t IndexCache::NextOccupied(uint64_t lo) const {
+  std::shared_lock<std::shared_mutex> lock(occupied_mu_);
+  auto it = occupied_.lower_bound(lo);
+  return it == occupied_.end() ? UINT64_MAX : *it;
+}
+
+size_t IndexCache::occupied_elements() const {
+  std::shared_lock<std::shared_mutex> lock(occupied_mu_);
+  return occupied_.size();
+}
+
 index::ShapeLookup IndexCache::AsLookup() {
   return [this](uint64_t quad_code) {
-    return GetElement(quad_code)->shapes;
+    std::shared_ptr<const ElementShapes> element = GetElement(quad_code);
+    // Aliases the element's list; the element stays alive with it.
+    return std::shared_ptr<const index::ShapeList>(element, &element->shapes);
   };
+}
+
+index::OccupancyProbe IndexCache::AsOccupancyProbe() const {
+  return [this](uint64_t lo) { return NextOccupied(lo); };
 }
 
 size_t BufferShapeCache::Add(uint64_t quad_code, uint32_t bits) {

@@ -6,6 +6,8 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <set>
+#include <shared_mutex>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -20,7 +22,7 @@ namespace tman::core {
 // final codes (paper §IV-B(3): the tuple <element, shape, final code>).
 struct ElementShapes {
   // (raw bitmap, final code), in final-code order.
-  std::vector<std::pair<uint32_t, uint32_t>> shapes;
+  index::ShapeList shapes;
 
   // Returns the final code for a bitmap, or UINT32_MAX if unknown.
   uint32_t FinalCodeOf(uint32_t bits) const {
@@ -35,6 +37,15 @@ struct ElementShapes {
 // stored in the Redis-like service. Query processing reads shape maps
 // through it (miss -> load from Redis, §IV-B(3)); ingestion registers new
 // shapes through it.
+//
+// It also keeps the occupancy registry: the sorted set of element codes
+// that have had at least one shape registered (PutElement with a non-empty
+// mapping, AddShape). Registration precedes every row write under an
+// element and the registry never shrinks, so it over-approximates the
+// elements that hold rows; deleted or expired rows leave false positives,
+// which cost a lookup but never hide a row. The query planner uses it to
+// skip empty quad subtrees, and GetElement to skip Redis and the LFU for
+// elements that hold nothing.
 class IndexCache {
  public:
   // When `registry` is set, hit/miss/eviction and Redis-load events are
@@ -45,8 +56,9 @@ class IndexCache {
   IndexCache(const IndexCache&) = delete;
   IndexCache& operator=(const IndexCache&) = delete;
 
-  // Shape map of an element; loads from Redis on LFU miss. Never null
-  // (absent elements yield an empty map).
+  // Shape map of an element; loads from Redis on LFU miss. Never null: an
+  // element that is not occupied yields one shared empty map, without a
+  // Redis load or an LFU lookup.
   std::shared_ptr<const ElementShapes> GetElement(uint64_t quad_code);
 
   // Installs/overwrites the full mapping for an element (bulk-load path and
@@ -57,8 +69,13 @@ class IndexCache {
   // Registers a single new shape with the given final code (update path).
   void AddShape(uint64_t quad_code, uint32_t bits, uint32_t final_code);
 
-  // Adapter for TShapeIndex::QueryRanges.
+  // Smallest occupied element code >= `lo`, or UINT64_MAX if none.
+  uint64_t NextOccupied(uint64_t lo) const;
+  size_t occupied_elements() const;
+
+  // Adapters for TShapeIndex::QueryRanges.
   index::ShapeLookup AsLookup();
+  index::OccupancyProbe AsOccupancyProbe() const;
 
   uint64_t lfu_hits() const { return lfu_.hits(); }
   uint64_t lfu_misses() const { return lfu_.misses(); }
@@ -68,11 +85,21 @@ class IndexCache {
 
  private:
   static std::string RedisKey(uint64_t quad_code);
+  void MarkOccupied(uint64_t quad_code);
+  // Serializes an element's Redis load + LFU fill against its writers.
+  std::mutex& ElementMutex(uint64_t quad_code) {
+    return element_mu_[quad_code % element_mu_.size()];
+  }
 
   cache::RedisLikeStore* redis_;
   cache::LFUCache<uint64_t, std::shared_ptr<const ElementShapes>> lfu_;
   std::atomic<uint64_t> redis_loads_{0};
   obs::Counter* ext_redis_loads_ = nullptr;
+
+  std::array<std::mutex, 16> element_mu_;
+
+  mutable std::shared_mutex occupied_mu_;
+  std::set<uint64_t> occupied_;  // guarded by occupied_mu_
 };
 
 // Buffer shape cache (paper §IV-C): holds shapes first seen after the last

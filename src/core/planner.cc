@@ -100,13 +100,16 @@ std::vector<index::ValueRange> QueryPlanner::SpatialQueryRanges(
   index::TShapeIndex::QueryStats qs;
   std::vector<index::ValueRange> ranges;
   if (options_->use_index_cache && index_cache_ != nullptr) {
-    index::ShapeLookup lookup = index_cache_->AsLookup();
-    ranges = tshape_->QueryRanges(norm_rect, &lookup, &qs);
+    // The occupancy registry confines the walk to subtrees holding data.
+    const index::ShapeLookup lookup = index_cache_->AsLookup();
+    const index::OccupancyProbe occupied = index_cache_->AsOccupancyProbe();
+    ranges = tshape_->QueryRanges(norm_rect, &lookup, &occupied, &qs);
   } else {
-    ranges = tshape_->QueryRanges(norm_rect, nullptr, &qs);
+    ranges = tshape_->QueryRanges(norm_rect, nullptr, nullptr, &qs);
   }
   plan->elements_visited += qs.elements_visited;
   plan->shapes_checked += qs.shapes_checked;
+  plan->subtrees_pruned += qs.subtrees_pruned;
   return ranges;
 }
 

@@ -61,6 +61,7 @@ struct QueryPlan {
   uint64_t index_values = 0;      // index values the windows cover
   uint64_t elements_visited = 0;  // spatial elements inspected while planning
   uint64_t shapes_checked = 0;    // TShape shape tests while planning
+  uint64_t subtrees_pruned = 0;   // TShape cells skipped as unoccupied
   uint64_t estimated_fine_windows = 0;  // ST CBO: fine-plan window estimate
   uint64_t windows_coalesced = 0;  // windows merged by the sort+coalesce pass
 };
@@ -115,7 +116,7 @@ class QueryPlanner {
   geo::MBR NormalizeRect(const geo::MBR& rect) const;
   std::vector<index::ValueRange> TemporalQueryRanges(int64_t ts,
                                                      int64_t te) const;
-  // Records elements_visited/shapes_checked into *plan.
+  // Records elements_visited/shapes_checked/subtrees_pruned into *plan.
   std::vector<index::ValueRange> SpatialQueryRanges(const geo::MBR& norm_rect,
                                                     QueryPlan* plan) const;
 

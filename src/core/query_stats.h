@@ -31,6 +31,9 @@ struct QueryStats {
   uint64_t elements_visited = 0;
   // TShape shape tests while planning.
   uint64_t shapes_checked = 0;
+  // TShape quad cells whose subtree held no occupied element, so the
+  // planner neither emitted ranges for them nor descended.
+  uint64_t subtrees_pruned = 0;
   // Exact distance evaluations (similarity queries only).
   uint64_t exact_distance_computations = 0;
   // Index lookups + window generation time. Disjoint from the scan/decode

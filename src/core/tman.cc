@@ -32,6 +32,10 @@ void FinishPlanningSpan(obs::TraceSpan* span, const QueryPlan& plan) {
   if (plan.shapes_checked != 0) {
     span->Annotate("shapes_checked", static_cast<double>(plan.shapes_checked));
   }
+  if (plan.subtrees_pruned != 0) {
+    span->Annotate("subtrees_pruned",
+                   static_cast<double>(plan.subtrees_pruned));
+  }
   if (plan.estimated_fine_windows != 0) {
     span->Annotate("est_fine_windows",
                    static_cast<double>(plan.estimated_fine_windows));
@@ -632,6 +636,7 @@ void TMan::MergePlanningStats(const QueryPlan& plan, const Stopwatch& planning,
   stats->index_values += plan.index_values;
   stats->elements_visited += plan.elements_visited;
   stats->shapes_checked += plan.shapes_checked;
+  stats->subtrees_pruned += plan.subtrees_pruned;
   stats->windows_coalesced += plan.windows_coalesced;
 }
 
@@ -963,6 +968,7 @@ Status TMan::TemporalRangeCount(int64_t ts, int64_t te, uint64_t* count,
       stats->candidates += sub.candidates;
       stats->elements_visited += sub.elements_visited;
       stats->shapes_checked += sub.shapes_checked;
+      stats->subtrees_pruned += sub.subtrees_pruned;
       stats->planning_ms += sub.planning_ms;
       stats->plan = "count:temporal";
       stats->trace = std::move(sub.trace);
@@ -1050,6 +1056,8 @@ void TMan::PublishMetrics() {
       ->Set(static_cast<double>(s.memtable_bytes));
   registry->GetGauge("tman_redis_keys")
       ->Set(static_cast<double>(redis_.KeyCount()));
+  registry->GetGauge("tman_index_cache_occupied_elements")
+      ->Set(static_cast<double>(index_cache_->occupied_elements()));
 }
 
 
@@ -1087,6 +1095,9 @@ std::string TMan::StatusJson() {
   out += ",\"stall_count\":" + std::to_string(agg.stall_count);
   out += ",\"stall_micros\":" + std::to_string(agg.stall_micros);
   out += "}";
+
+  out += ",\"index_cache\":{\"occupied_elements\":" +
+         std::to_string(index_cache_->occupied_elements()) + "}";
 
   if (trace_ring_ != nullptr) {
     out += ",\"slow_queries\":{";

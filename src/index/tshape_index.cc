@@ -96,6 +96,7 @@ bool TShapeIndex::ShapeIntersects(const QuadCell& anchor, uint32_t shape,
 
 std::vector<ValueRange> TShapeIndex::QueryRanges(const geo::MBR& query,
                                                  const ShapeLookup* lookup,
+                                                 const OccupancyProbe* occupied,
                                                  QueryStats* stats) const {
   std::vector<ValueRange> ranges;
   std::deque<QuadCell> queue;
@@ -113,25 +114,34 @@ std::vector<ValueRange> TShapeIndex::QueryRanges(const geo::MBR& query,
     if (!query.Intersects(enlarged)) continue;  // disjoint: prune
 
     const uint64_t code = QuadCode(cell, cfg_.max_resolution);
+    const uint64_t end_code =
+        code + QuadSubtreeCount(cell.r, cfg_.max_resolution);
+    const uint64_t next_occupied =
+        occupied != nullptr ? (*occupied)(code) : code;
+    if (next_occupied >= end_code) {  // no element below holds data
+      if (stats != nullptr) stats->subtrees_pruned++;
+      continue;
+    }
     if (query.Contains(enlarged)) {
       // All shapes of all elements prefixed with this cell qualify.
-      const uint64_t end_code =
-          code + QuadSubtreeCount(cell.r, cfg_.max_resolution);
       ranges.push_back(
           ValueRange{IndexValue(code, 0), IndexValue(end_code, 0) - 1});
       continue;
     }
 
-    // intersects: consult the used shapes (index cache) if available.
-    if (lookup != nullptr) {
-      for (const auto& [bits, final_code] : (*lookup)(code)) {
+    // intersects: consult the used shapes (index cache) if available. Only
+    // an occupied element contributes ranges; its descendants may still.
+    const bool element_occupied = next_occupied == code;
+    if (element_occupied && lookup != nullptr) {
+      const std::shared_ptr<const ShapeList> shapes = (*lookup)(code);
+      for (const auto& [bits, final_code] : *shapes) {
         if (stats != nullptr) stats->shapes_checked++;
         if (TShapeIntersectsImpl(cfg_, cell, bits, query)) {
           const uint64_t v = IndexValue(code, final_code);
           ranges.push_back(ValueRange{v, v});
         }
       }
-    } else {
+    } else if (element_occupied) {
       // No index cache: cannot enumerate used shapes, so every shape code
       // of this element is a candidate (the push-down spatial filter
       // discards the misses).

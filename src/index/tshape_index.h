@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -37,11 +38,21 @@ struct TShapeEncoding {
   uint64_t index_value;  // Eq. 3 with the raw bitmap as shape code
 };
 
-// Supplies the shapes actually used in an enlarged element, as pairs of
-// (raw bitmap, final code). Backed by TMan's index cache; nullptr-like
-// absence switches queries to no-cache mode (whole-element ranges).
-using ShapeLookup =
-    std::function<std::vector<std::pair<uint32_t, uint32_t>>(uint64_t)>;
+// Shapes actually used in an enlarged element, as pairs of (raw bitmap,
+// final code).
+using ShapeList = std::vector<std::pair<uint32_t, uint32_t>>;
+
+// Supplies an element's ShapeList by quad code, shared rather than copied;
+// never returns null. Backed by TMan's index cache; nullptr-like absence
+// switches queries to no-cache mode (whole-element ranges).
+using ShapeLookup = std::function<std::shared_ptr<const ShapeList>(uint64_t)>;
+
+// Returns the smallest occupied element quad code >= `lo` (UINT64_MAX if
+// none). An element is occupied when it may hold rows; the subtree of a
+// resolution-r cell is the code interval [code, code + QuadSubtreeCount),
+// so one probe answers both "is this element occupied" and "is anything
+// below it occupied".
+using OccupancyProbe = std::function<uint64_t(uint64_t lo)>;
 
 class TShapeIndex {
  public:
@@ -76,14 +87,18 @@ class TShapeIndex {
   struct QueryStats {
     uint64_t elements_visited = 0;
     uint64_t shapes_checked = 0;
+    uint64_t subtrees_pruned = 0;  // cells skipped by the occupancy probe
   };
 
   // Algorithm 2. With `lookup`, intersecting elements contribute only the
   // used shapes that touch the query; without it (no index cache) they
   // contribute their entire shape-code range and the storage-layer filter
-  // does the pruning.
+  // does the pruning. With `occupied`, a cell whose subtree holds no
+  // occupied element emits no range and is not descended, and `lookup` is
+  // consulted only for occupied elements.
   std::vector<ValueRange> QueryRanges(const geo::MBR& query,
                                       const ShapeLookup* lookup,
+                                      const OccupancyProbe* occupied = nullptr,
                                       QueryStats* stats = nullptr) const;
 
   // The rectangle of the full enlarged element of `anchor`.

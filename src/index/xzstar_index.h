@@ -2,6 +2,7 @@
 #define TMAN_INDEX_XZSTAR_INDEX_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "geo/geometry.h"
@@ -32,15 +33,15 @@ class XZStarIndex {
   std::vector<ValueRange> QueryRanges(
       const geo::MBR& query, TShapeIndex::QueryStats* stats = nullptr) const {
     // All 15 non-empty bitmaps, coded by their raw value.
-    static const std::vector<std::pair<uint32_t, uint32_t>> kAllShapes = [] {
-      std::vector<std::pair<uint32_t, uint32_t>> shapes;
+    static const std::shared_ptr<const ShapeList> kAllShapes = [] {
+      auto shapes = std::make_shared<ShapeList>();
       for (uint32_t bits = 1; bits < 16; bits++) {
-        shapes.emplace_back(bits, bits);
+        shapes->emplace_back(bits, bits);
       }
       return shapes;
     }();
     ShapeLookup lookup = [](uint64_t) { return kAllShapes; };
-    return tshape_.QueryRanges(query, &lookup, stats);
+    return tshape_.QueryRanges(query, &lookup, /*occupied=*/nullptr, stats);
   }
 
   const TShapeIndex& tshape() const { return tshape_; }

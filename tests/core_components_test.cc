@@ -7,6 +7,7 @@
 #include "common/random.h"
 #include "core/filters.h"
 #include "core/index_cache.h"
+#include "index/quadkey.h"
 #include "core/record.h"
 #include "core/rowkey.h"
 #include "traj/generator.h"
@@ -262,9 +263,47 @@ TEST(IndexCacheTest, LookupAdapterMatchesGetElement) {
   cache.PutElement(3, {{0b11, 0}, {0b101, 1}});
   index::ShapeLookup lookup = cache.AsLookup();
   const auto shapes = lookup(3);
-  ASSERT_EQ(shapes.size(), 2u);
-  EXPECT_EQ(shapes[0].second, 0u);
-  EXPECT_EQ(shapes[1].second, 1u);
+  ASSERT_EQ(shapes->size(), 2u);
+  EXPECT_EQ((*shapes)[0].second, 0u);
+  EXPECT_EQ((*shapes)[1].second, 1u);
+  // A view of the cached element, not a copy.
+  EXPECT_EQ(shapes.get(), &cache.GetElement(3)->shapes);
+}
+
+TEST(IndexCacheTest, OccupancyProbeCoversSubtreeInterval) {
+  cache::RedisLikeStore redis;
+  IndexCache cache(&redis, 8);
+  const int g = 12;
+  const uint64_t code = index::QuadCode(index::QuadCell{3, 2, 5}, g);
+  const uint64_t end = code + index::QuadSubtreeCount(3, g);
+  const index::OccupancyProbe probe = cache.AsOccupancyProbe();
+  EXPECT_EQ(probe(0), UINT64_MAX);
+
+  // An empty mapping does not occupy the element, and reading an
+  // unoccupied element costs neither a Redis load nor an LFU lookup.
+  cache.PutElement(code, {});
+  EXPECT_EQ(cache.occupied_elements(), 0u);
+  EXPECT_EQ(probe(code), UINT64_MAX);
+  EXPECT_TRUE(cache.GetElement(code)->shapes.empty());
+  EXPECT_EQ(cache.redis_loads(), 0u);
+  EXPECT_EQ(cache.lfu_hits() + cache.lfu_misses(), 0u);
+
+  // The first code past the subtree is outside [code, end).
+  cache.AddShape(end, 0b1, 0);
+  EXPECT_EQ(probe(code), end);
+  EXPECT_FALSE(probe(code) < end);
+  // The last code of the subtree is inside it; the element itself is not.
+  cache.AddShape(end - 1, 0b1, 0);
+  EXPECT_EQ(probe(code), end - 1);
+  EXPECT_TRUE(probe(code) < end);
+  // AddShape occupies the element itself; PutElement with shapes does too.
+  cache.AddShape(code, 0b10, 0);
+  EXPECT_EQ(probe(code), code);
+  EXPECT_EQ(probe(code + 1), end - 1);
+  cache.PutElement(code - 1, {{0b11, 0}});
+  EXPECT_EQ(probe(0), code - 1);
+  EXPECT_EQ(cache.occupied_elements(), 4u);
+  EXPECT_EQ(cache.GetElement(code)->FinalCodeOf(0b10), 0u);
 }
 
 TEST(BufferShapeCacheTest, CountsDistinctShapesAndDrains) {

@@ -124,6 +124,10 @@ TEST_F(ObservabilityTest, TracedSTRQMatchesQueryStats) {
   const obs::TraceSpan* execute = root.Find("execute");
   ASSERT_NE(planning, nullptr);
   ASSERT_NE(execute, nullptr);
+  // The TShape walk skipped subtrees that hold no data, and says so.
+  EXPECT_GT(stats.subtrees_pruned, 0u);
+  EXPECT_DOUBLE_EQ(planning->GetAnnotation("subtrees_pruned"),
+                   static_cast<double>(stats.subtrees_pruned));
   ASSERT_FALSE(execute->children().empty());
   const obs::TraceSpan* scan = execute->children()[0].get();
   EXPECT_EQ(scan->name().rfind("scan ", 0), 0u) << scan->name();
@@ -230,6 +234,8 @@ TEST_F(ObservabilityTest, ScrapeShowsEveryLayer) {
 
   // Gauges published point-in-time.
   EXPECT_GT(registry_->GetGauge("tman_storage_sstable_bytes")->value(), 0);
+  EXPECT_GT(
+      registry_->GetGauge("tman_index_cache_occupied_elements")->value(), 0);
 
   // And the same instruments appear in the rendered scrape.
   const std::string scrape = registry_->RenderPrometheus();
@@ -238,6 +244,8 @@ TEST_F(ObservabilityTest, ScrapeShowsEveryLayer) {
   EXPECT_NE(scrape.find("tman_index_cache_hits_total"), std::string::npos);
   EXPECT_NE(scrape.find("tman_cluster_scan_micros_count"), std::string::npos);
   EXPECT_NE(scrape.find("tman_storage_sstable_bytes"), std::string::npos);
+  EXPECT_NE(scrape.find("tman_index_cache_occupied_elements"),
+            std::string::npos);
   EXPECT_NE(
       scrape.find("tman_core_query_micros_count{type=\"temporal_range\"}"),
       std::string::npos);

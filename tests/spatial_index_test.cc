@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 #include <set>
 
 #include "common/random.h"
@@ -268,32 +269,57 @@ TEST_P(TShapeCompleteness, NoFalseNegativesWithCache) {
     stored.push_back(Stored{idx.IndexValue(enc.quad_code, final_code), points});
   }
 
-  ShapeLookup lookup = [&cache](uint64_t code) {
-    auto it = cache.find(code);
-    return it == cache.end()
-               ? std::vector<std::pair<uint32_t, uint32_t>>{}
-               : it->second;
+  // Served as shared lists, as the index cache serves them.
+  std::map<uint64_t, std::shared_ptr<const ShapeList>> shared;
+  for (const auto& [code, shapes] : cache) {
+    shared[code] = std::make_shared<const ShapeList>(shapes);
+  }
+  const auto empty = std::make_shared<const ShapeList>();
+  ShapeLookup lookup = [&shared, &empty](uint64_t code) {
+    auto it = shared.find(code);
+    return it == shared.end() ? empty : it->second;
+  };
+  // The occupancy registry: the elements the cache holds shapes for.
+  OccupancyProbe occupied = [&cache](uint64_t lo) {
+    auto it = cache.lower_bound(lo);
+    return it == cache.end() ? UINT64_MAX : it->first;
   };
 
+  auto covered = [](const std::vector<ValueRange>& ranges, uint64_t v) {
+    for (const auto& r : ranges) {
+      if (r.Contains(v)) return true;
+    }
+    return false;
+  };
+  uint64_t pruned_total = 0;
   for (int trial = 0; trial < 100; trial++) {
     const double qx = rnd.UniformDouble(0, 0.9);
     const double qy = rnd.UniformDouble(0, 0.9);
     const geo::MBR query{qx, qy, qx + rnd.UniformDouble(0.01, 0.08),
                          qy + rnd.UniformDouble(0.01, 0.08)};
     const auto ranges = idx.QueryRanges(query, &lookup);
+    TShapeIndex::QueryStats stats;
+    const auto pruned = idx.QueryRanges(query, &lookup, &occupied, &stats);
+    pruned_total += stats.subtrees_pruned;
     for (const Stored& s : stored) {
       if (!geo::PolylineIntersectsRect(s.points, query)) continue;
-      bool covered = false;
+      EXPECT_TRUE(covered(ranges, s.value))
+          << "missed stored trajectory, trial " << trial;
+      EXPECT_TRUE(covered(pruned, s.value))
+          << "pruning missed stored trajectory, trial " << trial;
+      if (!covered(ranges, s.value) || !covered(pruned, s.value)) return;
+    }
+    // Pruning only drops ranges: each pruned range lies inside one of the
+    // (merged) unpruned ranges.
+    for (const auto& p : pruned) {
+      bool inside = false;
       for (const auto& r : ranges) {
-        if (r.Contains(s.value)) {
-          covered = true;
-          break;
-        }
+        if (r.lo <= p.lo && p.hi <= r.hi) inside = true;
       }
-      EXPECT_TRUE(covered) << "missed stored trajectory, trial " << trial;
-      if (!covered) return;
+      EXPECT_TRUE(inside) << "pruned range outside unpruned, trial " << trial;
     }
   }
+  EXPECT_GT(pruned_total, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TShapeCompleteness,

@@ -611,6 +611,7 @@ TEST(TManTelemetryTest, AllEndpointsServeUnderLiveWorkload) {
   EXPECT_NE(status.find("\"tables\""), std::string::npos);
   EXPECT_NE(status.find("\"name\":\"primary\""), std::string::npos);
   EXPECT_NE(status.find("\"uptime_seconds\""), std::string::npos);
+  EXPECT_NE(status.find("\"occupied_elements\""), std::string::npos);
 
   // /eventz: the bulk load flushed every region, so flush events exist.
   const std::string events = HttpGet(port, "/eventz").body;

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <filesystem>
 #include <set>
+#include <thread>
 
 #include "core/tman.h"
 #include "geo/similarity.h"
@@ -351,6 +353,180 @@ TEST(TManUpdateTest, InsertTriggersReencodeAndStaysQueryable) {
     for (const auto& t : results) got.insert(t.tid);
     EXPECT_EQ(got, expected);
   }
+}
+
+std::set<std::string> TidSet(const std::vector<traj::Trajectory>& v) {
+  std::set<std::string> tids;
+  for (const auto& t : v) tids.insert(t.tid);
+  return tids;
+}
+
+// Checks SRQ, STRQ, threshold and top-k similarity against brute force over
+// `data`. Besides random windows, each probe trajectory contributes its own
+// MBR and time span as a window and serves as a similarity query, so the
+// elements it was registered in are exercised.
+void ExpectQueriesMatchBruteForce(TMan* tman, const traj::DatasetSpec& spec,
+                                  const std::vector<traj::Trajectory>& data,
+                                  const std::vector<traj::Trajectory>& probes,
+                                  const std::string& step) {
+  struct Window {
+    geo::MBR rect;
+    int64_t ts, te;
+  };
+  std::vector<Window> windows;
+  const auto sws = traj::RandomSpaceWindows(spec, 4, 4000, 11);
+  const auto tws = traj::RandomTimeWindows(spec, 4, 12 * 3600, 12);
+  for (size_t i = 0; i < sws.size(); i++) {
+    windows.push_back(Window{sws[i].rect, tws[i].ts, tws[i].te});
+  }
+  for (const auto& t : probes) {
+    windows.push_back(
+        Window{geo::ComputeMBR(t.points), t.start_time(), t.end_time()});
+  }
+  for (size_t i = 0; i < windows.size(); i++) {
+    const Window& w = windows[i];
+    std::set<std::string> srq, strq;
+    for (const auto& t : data) {
+      if (!geo::PolylineIntersectsRect(t.points, w.rect)) continue;
+      srq.insert(t.tid);
+      if (t.IntersectsTimeRange(w.ts, w.te)) strq.insert(t.tid);
+    }
+    std::vector<traj::Trajectory> got;
+    ASSERT_TRUE(tman->SpatialRangeQuery(w.rect, &got, nullptr).ok());
+    EXPECT_EQ(TidSet(got), srq) << step << ": SRQ window " << i;
+    got.clear();
+    ASSERT_TRUE(
+        tman->SpatioTemporalRangeQuery(w.rect, w.ts, w.te, &got, nullptr)
+            .ok());
+    EXPECT_EQ(TidSet(got), strq) << step << ": STRQ window " << i;
+  }
+
+  const double threshold = 0.02;  // degrees
+  const size_t k = 5;
+  for (const auto& q : probes) {
+    std::set<std::string> expected;
+    std::vector<double> frechet;
+    for (const auto& t : data) {
+      if (geo::ExactDistance(geo::SimilarityMeasure::kHausdorff, q.points,
+                             t.points) <= threshold) {
+        expected.insert(t.tid);
+      }
+      if (t.tid != q.tid) {
+        frechet.push_back(geo::DiscreteFrechet(q.points, t.points));
+      }
+    }
+    std::vector<traj::Trajectory> got;
+    ASSERT_TRUE(tman->ThresholdSimilarityQuery(
+                        q, geo::SimilarityMeasure::kHausdorff, threshold,
+                        &got, nullptr)
+                    .ok());
+    EXPECT_EQ(TidSet(got), expected) << step << ": threshold " << q.tid;
+
+    got.clear();
+    ASSERT_TRUE(tman->TopKSimilarityQuery(q, geo::SimilarityMeasure::kFrechet,
+                                          k, &got, nullptr)
+                    .ok());
+    ASSERT_EQ(got.size(), k) << step << ": top-k " << q.tid;
+    std::sort(frechet.begin(), frechet.end());
+    for (size_t i = 0; i < k; i++) {
+      EXPECT_NEAR(geo::DiscreteFrechet(q.points, got[i].points), frechet[i],
+                  1e-12)
+          << step << ": top-k " << q.tid << " rank " << i;
+    }
+  }
+}
+
+TEST(TManUpdateTest, QueriesMatchBruteForceAsOccupancyGrows) {
+  const traj::DatasetSpec spec = traj::TDriveLikeSpec();
+  TManOptions options = SmallOptions(spec);
+  options.buffer_shape_threshold = 64;
+  std::unique_ptr<TMan> tman;
+  ASSERT_TRUE(TMan::Open(options, TestDir("occupancy"), &tman).ok());
+
+  std::vector<traj::Trajectory> data = traj::Generate(spec, 150, 31);
+  ASSERT_TRUE(tman->BulkLoad(data).ok());
+  ExpectQueriesMatchBruteForce(tman.get(), spec, data,
+                               {data[0], data[1], data[2]}, "bulk load");
+
+  auto fresh = traj::Generate(spec, 120, 32);
+  for (auto& t : fresh) t.tid += "-new";
+
+  // Below the re-encode threshold, into elements the bulk load never saw.
+  const size_t occupied_before = tman->index_cache()->occupied_elements();
+  std::vector<traj::Trajectory> batch(fresh.begin(), fresh.begin() + 30);
+  ASSERT_TRUE(tman->Insert(batch).ok());
+  data.insert(data.end(), batch.begin(), batch.end());
+  EXPECT_GT(tman->index_cache()->occupied_elements(), occupied_before);
+  EXPECT_EQ(tman->reencode_count(), 0u);
+  ExpectQueriesMatchBruteForce(tman.get(), spec, data,
+                               {batch[0], batch[1], batch[2]}, "insert");
+
+  // Crossing the threshold re-encodes the buffered elements.
+  batch.assign(fresh.begin() + 30, fresh.end());
+  ASSERT_TRUE(tman->Insert(batch).ok());
+  data.insert(data.end(), batch.begin(), batch.end());
+  EXPECT_GT(tman->reencode_count(), 0u);
+  ExpectQueriesMatchBruteForce(tman.get(), spec, data,
+                               {batch[0], batch[1], batch[2]}, "re-encode");
+}
+
+TEST(TManUpdateTest, ConcurrentInsertsAreVisibleToLaterQueries) {
+  const traj::DatasetSpec spec = traj::TDriveLikeSpec();
+  TManOptions options = SmallOptions(spec);
+  // No re-encode: rows stay under the codes their Insert gave them.
+  options.buffer_shape_threshold = 1u << 20;
+  std::unique_ptr<TMan> tman;
+  ASSERT_TRUE(TMan::Open(options, TestDir("occupancy_mt"), &tman).ok());
+  const auto initial = traj::Generate(spec, 100, 41);
+  ASSERT_TRUE(tman->BulkLoad(initial).ok());
+
+  auto fresh = traj::Generate(spec, 200, 42);
+  for (auto& t : fresh) t.tid += "-mt";
+  constexpr size_t kBatch = 10;
+  std::atomic<size_t> inserted{0};  // prefix of `fresh` whose Insert returned
+  std::atomic<bool> writer_done{false};
+  std::atomic<bool> insert_failed{false};
+  std::thread writer([&] {
+    for (size_t off = 0; off < fresh.size(); off += kBatch) {
+      const std::vector<traj::Trajectory> batch(
+          fresh.begin() + off, fresh.begin() + off + kBatch);
+      if (!tman->Insert(batch).ok()) {
+        insert_failed = true;
+        break;
+      }
+      inserted.store(off + kBatch, std::memory_order_release);
+    }
+    writer_done.store(true, std::memory_order_release);
+  });
+
+  size_t queries = 0;
+  bool missed = false;
+  for (bool done = false; !done && !missed;) {
+    done = writer_done.load(std::memory_order_acquire);
+    const size_t visible = inserted.load(std::memory_order_acquire);
+    if (visible == 0) {
+      std::this_thread::yield();
+      continue;
+    }
+    // A window around a trajectory whose Insert returned before this query.
+    const geo::MBR rect = geo::ComputeMBR(fresh[queries % visible].points);
+    std::vector<traj::Trajectory> got;
+    const Status s = tman->SpatialRangeQuery(rect, &got, nullptr);
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    queries++;
+    const std::set<std::string> tids = TidSet(got);
+    auto expect_present = [&](const traj::Trajectory& t) {
+      if (missed || !geo::PolylineIntersectsRect(t.points, rect)) return;
+      missed = tids.count(t.tid) == 0;
+      EXPECT_FALSE(missed) << t.tid << " missing after " << visible
+                           << " inserted";
+    };
+    for (const auto& t : initial) expect_present(t);
+    for (size_t i = 0; i < visible; i++) expect_present(fresh[i]);
+  }
+  writer.join();
+  EXPECT_FALSE(insert_failed.load());
+  EXPECT_GT(queries, 0u);
 }
 
 TEST(TManStorageTest, SingleRowPerTrajectoryInPrimary) {
